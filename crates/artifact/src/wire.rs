@@ -9,43 +9,7 @@
 
 use crate::error::ArtifactError;
 
-/// FNV-1a 64-bit hasher, matching the hash used for cache keys across
-/// the workspace.
-#[derive(Clone)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// The standard FNV-1a offset basis.
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feeds `bytes` into the hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Hashes one byte slice with FNV-1a 64.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
+pub use asdf_ir::{fnv1a, Fnv};
 
 /// An append-only encoder producing the wire byte stream.
 #[derive(Default)]
@@ -55,8 +19,14 @@ pub struct Encoder {
 
 impl Encoder {
     /// An empty encoder.
-    pub fn new() -> Encoder {
+    pub const fn new() -> Encoder {
         Encoder { buf: Vec::new() }
+    }
+
+    /// Discards the bytes written so far, keeping the allocation for
+    /// reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consumes the encoder, returning the bytes written so far.

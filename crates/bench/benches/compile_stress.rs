@@ -20,7 +20,6 @@
 use asdf_ast::CaptureValue;
 use asdf_core::{CompileRequest, Session};
 use criterion::black_box;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -139,31 +138,6 @@ fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compile.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var("COMPILE_STRESS_SMOKE").is_ok_and(|v| v == "1");
@@ -237,5 +211,5 @@ fn main() {
         peak.coalesced,
         peak.requests,
     );
-    append_trajectory_point(&point);
+    asdf_bench::append_trajectory_point("BENCH_compile.json", &point);
 }

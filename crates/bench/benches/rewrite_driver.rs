@@ -23,7 +23,6 @@ use asdf_ir::rewrite::{GreedyRewriteDriver, RescanDriver};
 use asdf_ir::{FuncBuilder, FuncType, GateKind, Module, OpKind, Type, Value, Visibility};
 use asdf_qcircuit::peephole::peephole_patterns;
 use criterion::black_box;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// One wire's worth of gate chain: pairs that cancel or merge away.
@@ -156,31 +155,6 @@ fn race(modules: &[Module], samples: usize) -> (Duration, Duration, usize) {
     (worklist_time, rescan_time, fires)
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_opt.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var("REWRITE_DRIVER_SMOKE").is_ok_and(|v| v == "1");
@@ -234,5 +208,5 @@ fn main() {
         us(dt_rescan),
         dt_speedup,
     );
-    append_trajectory_point(&point);
+    asdf_bench::append_trajectory_point("BENCH_opt.json", &point);
 }

@@ -17,7 +17,6 @@ use asdf_core::{CompileOptions, Compiler};
 use asdf_qcircuit::Circuit;
 use asdf_target::Target;
 use criterion::black_box;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const TARGETS: [&str; 3] = ["linear-16", "ring-8", "grid-4x4"];
@@ -115,31 +114,6 @@ fn compile_example(
     compiled.circuit
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_route.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
         || std::env::var("ROUTE_OVERHEAD_SMOKE").is_ok_and(|v| v == "1");
@@ -204,5 +178,5 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         entries.join(", "),
     );
-    append_trajectory_point(&point);
+    asdf_bench::append_trajectory_point("BENCH_route.json", &point);
 }

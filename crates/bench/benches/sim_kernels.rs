@@ -22,7 +22,6 @@ use asdf_sim::{batched_columns, columns_equivalent, KernelProgram, StateVector};
 use criterion::black_box;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use threadpool::ThreadPool;
 
@@ -105,31 +104,6 @@ fn min_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
-}
-
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -232,5 +206,5 @@ fn main() {
         ms(kernel_unitary),
         unitary_speedup,
     );
-    append_trajectory_point(&point);
+    asdf_bench::append_trajectory_point("BENCH_sim.json", &point);
 }

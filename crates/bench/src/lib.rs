@@ -15,6 +15,7 @@ use asdf_core::{CompileOptions, CompileRequest, Compiler, Session};
 use asdf_qcircuit::Circuit;
 use asdf_resource::{estimate, Estimate, SurfaceCodeParams};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 /// The four compilers of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,6 +235,26 @@ pub fn table1_rows(n: usize) -> Vec<Table1Row> {
         .collect()
 }
 
+/// Appends one JSON trajectory point to a `BENCH_*.json` array, creating
+/// the file (or replacing an unparseable one) when needed. `file` is
+/// relative to the repository root; an absolute path is used as is.
+/// A write failure is reported on stderr and never fails the bench.
+pub fn append_trajectory_point(file: impl AsRef<Path>, point: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+    let body = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|existing| Some(existing.trim_end().strip_suffix(']')?.trim_end().to_string()));
+    let rewritten = match body {
+        Some(body) if body.ends_with('[') => format!("{body}\n  {point}\n]\n"),
+        Some(body) => format!("{body},\n  {point}\n]\n"),
+        None => format!("[\n  {point}\n]\n"),
+    };
+    match std::fs::write(&path, rewritten) {
+        Ok(()) => println!("trajectory point appended to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +309,20 @@ mod tests {
         let best_baseline = Which::ALL[1..].iter().map(|&w| phys(w)).min().unwrap();
         // Within 2x of the best baseline qualifies as "keeping pace".
         assert!(asdf <= best_baseline * 2, "asdf {asdf} vs best baseline {best_baseline}");
+    }
+
+    #[test]
+    fn trajectory_points_append_to_missing_empty_and_filled_files() {
+        let path =
+            std::env::temp_dir().join(format!("asdf-bench-trajectory-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        append_trajectory_point(&path, r#"{"a": 1}"#);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[\n  {\"a\": 1}\n]\n");
+        std::fs::write(&path, "[]").unwrap();
+        append_trajectory_point(&path, r#"{"b": 2}"#);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[\n  {\"b\": 2}\n]\n");
+        append_trajectory_point(&path, r#"{"c": 3}"#);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "[\n  {\"b\": 2},\n  {\"c\": 3}\n]\n");
+        std::fs::remove_file(&path).unwrap();
     }
 }

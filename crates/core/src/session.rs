@@ -15,6 +15,14 @@
 //!   holds the fully compiled [`Compiled`] artifact behind an [`Arc`],
 //!   so a repeated request is a map lookup.
 //!
+//! Both keys are one canonical byte string per request, written by a
+//! single function (`write_key`): the frontend key is its prefix, the
+//! artifact key the whole string. Each is hashed with FNV-1a
+//! ([`asdf_ir::fnv1a`]) to pick a shard, and an entry matches on byte
+//! equality. The optional disk tier stores and verifies the same bytes
+//! under the same hash, so the memory and disk tiers cannot disagree
+//! about which requests are equal.
+//!
 //! # Concurrency model
 //!
 //! The session is a multi-tenant server core — quilc runs as a persistent
@@ -23,14 +31,14 @@
 //! mechanisms keep it scalable under concurrent load:
 //!
 //! - **Sharded caches.** Each cache is split into power-of-two lock
-//!   shards selected by the key's content hash, so compiles touching
+//!   shards selected by the key's hash, so compiles touching
 //!   different keys do not contend on one mutex. The LRU bound is
 //!   per-shard (global capacity is divided among the shards).
 //! - **Atomic statistics.** All counters live on atomics;
 //!   [`Session::cache_stats`] never takes a cache lock and never blocks a
 //!   compile.
 //! - **Request coalescing.** A cold miss registers an *in-flight cell*
-//!   keyed by the same content hash. Concurrent identical requests find
+//!   keyed by the same key bytes. Concurrent identical requests find
 //!   the cell and block on it instead of re-running the pipeline; when
 //!   the leading thread finishes, every waiter receives the same
 //!   `Arc<Compiled>` (pointer-equal). Errors propagate to all waiters
@@ -39,10 +47,10 @@
 //!   Both levels coalesce independently: twelve configurations of one
 //!   kernel racing through a cold session run the frontend exactly once.
 //!
-//! The **warm hit path allocates nothing**: requests are hashed and
-//! compared structurally against stored keys (no owned key, no encoded
-//! strings, no sorted-dims vector is built), so a saturated server serves
-//! repeat traffic at memory-lookup speed.
+//! The **warm hit path allocates nothing**: a request's key is written
+//! into a reused per-thread buffer, hashed, and compared byte-for-byte
+//! with the stored key; it is copied only on a miss. A saturated server
+//! serves repeat traffic at memory-lookup speed.
 //!
 //! Backends are fixed at construction time via [`SessionBuilder`] —
 //! a shared `Arc<Session>` is immutable, so register extra backends
@@ -73,7 +81,7 @@ use crate::compiler::{CompileOptions, Compiled};
 use crate::diskcache::{DiskCache, DiskLookup, DEFAULT_DISK_CAPACITY};
 use crate::error::CoreError;
 use crate::lower::lower_kernel;
-use asdf_artifact::Artifact;
+use asdf_artifact::{Artifact, Encoder};
 use asdf_ast::ast::Program;
 use asdf_ast::canon::canonicalize as ast_canonicalize;
 use asdf_ast::expand::{instantiate, CaptureValue};
@@ -81,10 +89,11 @@ use asdf_ast::parse::parse_program;
 use asdf_ast::tast::{TExpr, TExprKind, TKernel, TStmt};
 use asdf_ast::typecheck::typecheck_kernel;
 use asdf_codegen::{BackendRegistry, EmitInput};
-use asdf_ir::Module;
+use asdf_ir::{fnv1a, Module};
 use asdf_qcircuit::decompose::{decompose, DecomposeStyle};
 use asdf_qcircuit::reg2mem::lower_to_circuit;
 use asdf_sim::SimBackend;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -92,72 +101,95 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Content hashing
+// The cache key
 // ---------------------------------------------------------------------
 
-/// Streaming FNV-1a, the content hash for cache keys: deterministic,
-/// dependency-free, cheap on short inputs, and — crucially for the warm
-/// path — able to hash a [`CompileRequest`] *in place*, without building
-/// an owned key first.
-struct Fnv(u64);
+thread_local! {
+    /// The encoder each thread writes request keys into: reused across
+    /// requests, so encoding a key on the warm path never allocates.
+    static KEY: RefCell<Encoder> = const { RefCell::new(Encoder::new()) };
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+/// Writes the canonical cache key of `request` into `e` (replacing its
+/// contents) and returns the length of the frontend prefix.
+///
+/// This is the one definition of "the same request" for every tier. The
+/// frontend cache is keyed by the prefix: source hash, kernel, captures,
+/// and sorted effective dims — everything instantiation, typechecking,
+/// and lowering depend on. The artifact cache and the disk cache are
+/// keyed by the whole string, which appends every pipeline option. Each
+/// variable-size field is length-prefixed and each variant tagged, so two
+/// requests share an entry exactly when their bytes are equal.
+fn write_key(source_hash: u64, request: &CompileRequest, e: &mut Encoder) -> usize {
+    e.clear();
+    e.u64(source_hash);
+    e.str(&request.kernel);
+    e.usize(request.captures.len());
+    for capture in &request.captures {
+        write_capture(capture, e);
     }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    // Sorted, so map iteration order cannot leak into the key.
+    e.usize(effective_dims_len(&request.options.dims, &request.dims));
+    for_each_effective_dim(&request.options.dims, &request.dims, |name, value| {
+        e.str(name);
+        e.i64(value);
+    });
+    let frontend_len = e.bytes().len();
+    // Exhaustive destructuring: adding a field to CompileOptions is a
+    // compile error here, so it can never silently drop out of the key
+    // (which would serve stale artifacts). `dims` is in the prefix above,
+    // merged with the request's own bindings.
+    let CompileOptions {
+        inline,
+        peephole,
+        decompose,
+        verify,
+        dims: _,
+        rewrite_fuel,
+        lints,
+        target,
+    } = &request.options;
+    e.bool(*inline);
+    e.bool(*peephole);
+    e.u8(match decompose {
+        None => 0,
+        Some(DecomposeStyle::Selinger) => 1,
+        Some(DecomposeStyle::VChain) => 2,
+    });
+    e.bool(*verify);
+    e.bool(*lints);
+    match rewrite_fuel {
+        None => e.u8(0),
+        Some(fuel) => {
+            e.u8(1);
+            e.u64(*fuel);
         }
     }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
+    match target {
+        None => e.u8(0),
+        Some(name) => {
+            e.u8(1);
+            e.str(name);
+        }
     }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    frontend_len
 }
 
-/// FNV-1a over a byte string (the source-content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Hashes a capture value structurally (no text encoding is built).
-fn hash_capture(capture: &CaptureValue, h: &mut Fnv) {
+fn write_capture(capture: &CaptureValue, e: &mut Encoder) {
     match capture {
         CaptureValue::Bits(bits) => {
-            h.write_u8(1);
-            h.write_usize(bits.len());
-            for &b in bits {
-                h.write_u8(u8::from(b));
+            e.u8(0);
+            e.usize(bits.len());
+            for &bit in bits {
+                e.bool(bit);
             }
         }
         CaptureValue::CFunc { name, captures } => {
-            h.write_u8(2);
-            h.write_usize(name.len());
-            h.write(name.as_bytes());
-            h.write_usize(captures.len());
-            for c in captures {
-                hash_capture(c, h);
+            e.u8(1);
+            e.str(name);
+            e.usize(captures.len());
+            for nested in captures {
+                write_capture(nested, e);
             }
         }
     }
@@ -199,165 +231,57 @@ fn for_each_effective_dim<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Cache keys
-// ---------------------------------------------------------------------
-
-/// The frontend cache key: everything instantiation + typechecking +
-/// lowering depend on. Stored on insert; a *request* is matched against
-/// it structurally (see [`frontend_key_matches`]) so the warm path never
-/// builds one.
-#[derive(Debug, Clone, PartialEq)]
-struct FrontendKey {
-    source_hash: u64,
-    kernel: String,
-    captures: Vec<CaptureValue>,
-    /// Sorted, so map iteration order cannot leak into the key.
-    dims: Vec<(String, i64)>,
-}
-
-/// The artifact cache key: the frontend key plus the pipeline options.
-#[derive(Debug, Clone, PartialEq)]
-struct ArtifactKey {
-    frontend: FrontendKey,
-    inline: bool,
-    peephole: bool,
-    /// 0 = none, 1 = Selinger, 2 = V-chain.
-    decompose: u8,
-    verify: bool,
-    /// The rewrite-firing budget: fuel changes the produced IR, so two
-    /// fuel settings must never share an artifact.
-    rewrite_fuel: Option<u64>,
-    /// Whether lint diagnostics were computed: an artifact compiled
-    /// without lints must not satisfy a request that asks for them.
-    lints: bool,
-    /// The hardware target the circuit was routed for (None = all-to-all):
-    /// routing rewrites the circuit, so targets never share an artifact.
-    target: Option<String>,
-}
-
-fn decompose_tag(style: Option<DecomposeStyle>) -> u8 {
-    match style {
-        None => 0,
-        Some(DecomposeStyle::Selinger) => 1,
-        Some(DecomposeStyle::VChain) => 2,
-    }
-}
-
-/// Whether a stored sorted-dims key equals the request's effective dims,
-/// compared without materializing the effective map.
-fn dims_match(
-    stored: &[(String, i64)],
-    options: &HashMap<String, i64>,
-    request: &HashMap<String, i64>,
-) -> bool {
-    stored.len() == effective_dims_len(options, request)
-        && stored.iter().all(|(k, v)| request.get(k).or_else(|| options.get(k)) == Some(v))
-}
-
-fn frontend_key_matches(key: &FrontendKey, source_hash: u64, request: &CompileRequest) -> bool {
-    key.source_hash == source_hash
-        && key.kernel == request.kernel
-        && key.captures == request.captures
-        && dims_match(&key.dims, &request.options.dims, &request.dims)
-}
-
-fn artifact_key_matches(key: &ArtifactKey, source_hash: u64, request: &CompileRequest) -> bool {
-    // Exhaustive destructuring: adding a field to CompileOptions is a
-    // compile error here, so it can never silently drop out of the cache
-    // key (which would serve stale artifacts).
-    let CompileOptions {
-        inline,
-        peephole,
-        decompose,
-        verify,
-        dims: _,
-        rewrite_fuel,
-        lints,
-        target,
-    } = &request.options;
-    key.inline == *inline
-        && key.peephole == *peephole
-        && key.decompose == decompose_tag(*decompose)
-        && key.verify == *verify
-        && key.rewrite_fuel == *rewrite_fuel
-        && key.lints == *lints
-        && key.target == *target
-        && frontend_key_matches(&key.frontend, source_hash, request)
-}
-
-// ---------------------------------------------------------------------
 // A sharded LRU cache
 // ---------------------------------------------------------------------
 
-struct LruEntry<K, V> {
-    key: K,
+struct LruEntry<V> {
+    key: Arc<[u8]>,
     value: V,
     last_used: u64,
 }
 
-/// One shard: a hash-bucketed map plus a logical clock. Entries are
-/// addressed by their content hash and disambiguated by structural key
-/// comparison, so lookups need no owned key. Eviction scans for the
-/// stalest entry — O(shard capacity), trivial at session cache sizes.
-struct Lru<K, V> {
+/// One shard: entries addressed by the FNV-1a hash of their key bytes,
+/// plus a logical clock. A lookup also compares the stored key bytes, so
+/// a 64-bit collision degrades to a miss (and the newer key takes the
+/// slot), never to a wrong value — the same rule as the disk tier.
+/// Eviction scans for the stalest entry — O(shard capacity), trivial at
+/// session cache sizes.
+struct Lru<V> {
     capacity: usize,
     tick: u64,
-    len: usize,
-    map: HashMap<u64, Vec<LruEntry<K, V>>>,
+    map: HashMap<u64, LruEntry<V>>,
 }
 
-impl<K: PartialEq, V> Lru<K, V> {
-    fn new(capacity: usize) -> Lru<K, V> {
-        Lru { capacity: capacity.max(1), tick: 0, len: 0, map: HashMap::new() }
+impl<V> Lru<V> {
+    fn new(capacity: usize) -> Lru<V> {
+        Lru { capacity: capacity.max(1), tick: 0, map: HashMap::new() }
     }
 
-    fn get(&mut self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<&V> {
+    fn get(&mut self, hash: u64, key: &[u8]) -> Option<&V> {
         self.tick += 1;
-        let tick = self.tick;
-        let entry = self.map.get_mut(&hash)?.iter_mut().find(|e| matches(&e.key))?;
-        entry.last_used = tick;
+        let entry = self.map.get_mut(&hash).filter(|e| *e.key == *key)?;
+        entry.last_used = self.tick;
         Some(&entry.value)
     }
 
     /// Inserts (or replaces) an entry; returns the number of evictions
     /// performed (0 or 1).
-    fn insert(&mut self, hash: u64, key: K, value: V) -> u64 {
+    fn insert(&mut self, hash: u64, key: Arc<[u8]>, value: V) -> u64 {
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) =
-            self.map.get_mut(&hash).and_then(|bucket| bucket.iter_mut().find(|e| e.key == key))
-        {
-            entry.value = value;
-            entry.last_used = tick;
-            return 0;
-        }
         let mut evictions = 0;
-        if self.len >= self.capacity {
-            let mut stalest: Option<(u64, usize, u64)> = None;
-            for (&h, bucket) in &self.map {
-                for (i, e) in bucket.iter().enumerate() {
-                    if stalest.is_none_or(|(_, _, lu)| e.last_used < lu) {
-                        stalest = Some((h, i, e.last_used));
-                    }
-                }
-            }
-            if let Some((h, i, _)) = stalest {
-                let bucket = self.map.get_mut(&h).expect("stalest bucket exists");
-                bucket.swap_remove(i);
-                if bucket.is_empty() {
-                    self.map.remove(&h);
-                }
-                self.len -= 1;
+        if !self.map.contains_key(&hash) && self.map.len() >= self.capacity {
+            let stalest = self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(&h, _)| h);
+            if let Some(h) = stalest {
+                self.map.remove(&h);
                 evictions = 1;
             }
         }
-        self.map.entry(hash).or_default().push(LruEntry { key, value, last_used: tick });
-        self.len += 1;
+        self.map.insert(hash, LruEntry { key, value, last_used: self.tick });
         evictions
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 }
 
@@ -368,35 +292,37 @@ fn shard_count(requested: usize, capacity: usize) -> usize {
     1 << (usize::BITS - 1 - clamped.leading_zeros())
 }
 
-/// A cache split into power-of-two lock shards selected by content hash:
-/// compiles touching different keys lock different mutexes.
-struct ShardedCache<K, V> {
-    shards: Box<[Mutex<Lru<K, V>>]>,
+/// A cache split into power-of-two lock shards selected by the key's
+/// hash: compiles touching different keys lock different mutexes.
+struct ShardedCache<V> {
+    shards: Box<[Mutex<Lru<V>>]>,
     mask: u64,
 }
 
-impl<K: PartialEq, V: Clone> ShardedCache<K, V> {
-    fn new(capacity: usize, shards: usize) -> ShardedCache<K, V> {
+impl<V: Clone> ShardedCache<V> {
+    fn new(capacity: usize, shards: usize) -> ShardedCache<V> {
         let capacity = capacity.max(1);
         let shards = shard_count(shards, capacity);
         let base = capacity / shards;
         let remainder = capacity % shards;
-        let shards: Box<[Mutex<Lru<K, V>>]> =
+        let shards: Box<[Mutex<Lru<V>>]> =
             (0..shards).map(|i| Mutex::new(Lru::new(base + usize::from(i < remainder)))).collect();
         let mask = shards.len() as u64 - 1;
         ShardedCache { shards, mask }
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Lru<K, V>> {
+    fn shard(&self, hash: u64) -> &Mutex<Lru<V>> {
         &self.shards[(hash & self.mask) as usize]
     }
 
-    fn get(&self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
-        self.shard(hash).lock().expect("cache shard mutex").get(hash, matches).cloned()
+    fn get(&self, key: &[u8]) -> Option<V> {
+        let hash = fnv1a(key);
+        self.shard(hash).lock().expect("cache shard mutex").get(hash, key).cloned()
     }
 
     /// Inserts an entry; returns the number of evictions performed.
-    fn insert(&self, hash: u64, key: K, value: V) -> u64 {
+    fn insert(&self, key: Arc<[u8]>, value: V) -> u64 {
+        let hash = fnv1a(&key);
         self.shard(hash).lock().expect("cache shard mutex").insert(hash, key, value)
     }
 
@@ -439,27 +365,27 @@ impl<V: Clone> InflightCell<V> {
 }
 
 /// The outcome of claiming a key that missed the cache.
-enum Claim<'a, K: PartialEq + Clone, V: Clone> {
+enum Claim<'a, V: Clone> {
     /// The leading thread finished between the cache probe and the claim;
     /// the value was re-read from the cache.
     Cached(V),
     /// Another thread is already compiling this key: wait on its cell.
     Coalesced(Arc<InflightCell<V>>),
     /// This thread leads: run the work, then [`LeaderGuard::finish`].
-    Leader(LeaderGuard<'a, K, V>),
+    Leader(LeaderGuard<'a, V>),
 }
 
-/// One hash bucket of in-flight cells; structural key comparison on
-/// probe (hash collisions must not coalesce distinct requests).
-type InflightBucket<K, V> = Vec<(K, Arc<InflightCell<V>>)>;
+/// The cells of one in-flight table, by key bytes. The table is only
+/// touched on a miss, so it uses the standard map over owned keys.
+type Cells<V> = HashMap<Arc<[u8]>, Arc<InflightCell<V>>>;
 
-/// The in-flight table for one cache level: content hash → cells.
-struct Inflight<K, V> {
-    cells: Mutex<HashMap<u64, InflightBucket<K, V>>>,
+/// The in-flight table for one cache level.
+struct Inflight<V> {
+    cells: Mutex<Cells<V>>,
 }
 
-impl<K: PartialEq + Clone, V: Clone> Inflight<K, V> {
-    fn new() -> Inflight<K, V> {
+impl<V: Clone> Inflight<V> {
+    fn new() -> Inflight<V> {
         Inflight { cells: Mutex::new(HashMap::new()) }
     }
 
@@ -467,29 +393,24 @@ impl<K: PartialEq + Clone, V: Clone> Inflight<K, V> {
     /// cache (`recheck`, called under the table lock — completion inserts
     /// into the cache *before* retiring its cell, so a vanished cell
     /// guarantees a cache hit here), or become the leader.
-    fn claim(&self, hash: u64, key: &K, recheck: impl FnOnce() -> Option<V>) -> Claim<'_, K, V> {
+    fn claim(&self, key: &[u8], recheck: impl FnOnce() -> Option<V>) -> Claim<'_, V> {
         let mut cells = self.cells.lock().expect("in-flight table mutex");
-        if let Some(bucket) = cells.get(&hash) {
-            if let Some((_, cell)) = bucket.iter().find(|(k, _)| k == key) {
-                return Claim::Coalesced(Arc::clone(cell));
-            }
+        if let Some(cell) = cells.get(key) {
+            return Claim::Coalesced(Arc::clone(cell));
         }
         if let Some(value) = recheck() {
             return Claim::Cached(value);
         }
         let cell = Arc::new(InflightCell::new());
-        cells.entry(hash).or_default().push((key.clone(), Arc::clone(&cell)));
-        Claim::Leader(LeaderGuard { inflight: self, hash, key: key.clone(), cell, done: false })
+        // The one copy of a missed key: the table, the leader, and the
+        // cache entry it publishes all share it.
+        let key: Arc<[u8]> = key.into();
+        cells.insert(Arc::clone(&key), Arc::clone(&cell));
+        Claim::Leader(LeaderGuard { inflight: self, key, cell, done: false })
     }
 
-    fn remove(&self, hash: u64, key: &K) {
-        let mut cells = self.cells.lock().expect("in-flight table mutex");
-        if let Some(bucket) = cells.get_mut(&hash) {
-            bucket.retain(|(k, _)| k != key);
-            if bucket.is_empty() {
-                cells.remove(&hash);
-            }
-        }
+    fn remove(&self, key: &[u8]) {
+        self.cells.lock().expect("in-flight table mutex").remove(key);
     }
 
     #[cfg(test)]
@@ -502,34 +423,131 @@ impl<K: PartialEq + Clone, V: Clone> Inflight<K, V> {
 /// before [`LeaderGuard::finish`], the drop guard retires the cell with
 /// an error so waiters wake instead of blocking forever — and the next
 /// request for the key starts a fresh compile (no poisoning).
-struct LeaderGuard<'a, K: PartialEq + Clone, V: Clone> {
-    inflight: &'a Inflight<K, V>,
-    hash: u64,
-    key: K,
+struct LeaderGuard<'a, V: Clone> {
+    inflight: &'a Inflight<V>,
+    key: Arc<[u8]>,
     cell: Arc<InflightCell<V>>,
     done: bool,
 }
 
-impl<K: PartialEq + Clone, V: Clone> LeaderGuard<'_, K, V> {
+impl<V: Clone> LeaderGuard<'_, V> {
     /// Retires the cell and wakes every waiter with `result`. On success
     /// the value must already be in the cache: requesters who miss the
     /// cell afterwards re-probe the cache and must find it.
     fn finish(mut self, result: Result<V, CoreError>) {
-        self.inflight.remove(self.hash, &self.key);
+        self.inflight.remove(&self.key);
         self.cell.fill(result);
         self.done = true;
     }
 }
 
-impl<K: PartialEq + Clone, V: Clone> Drop for LeaderGuard<'_, K, V> {
+impl<V: Clone> Drop for LeaderGuard<'_, V> {
     fn drop(&mut self) {
         if !self.done {
-            self.inflight.remove(self.hash, &self.key);
+            self.inflight.remove(&self.key);
             self.cell.fill(Err(CoreError::Ir(
                 "in-flight compilation abandoned (the leading thread panicked)".to_string(),
             )));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Cache levels
+// ---------------------------------------------------------------------
+
+/// A cached value with the wall-clock its work cost (the "time saved"
+/// accounting for hits and coalesced waits).
+type Entry<T> = (Arc<T>, Duration);
+
+/// One cache level — frontend or artifact: its sharded LRU, its
+/// in-flight table, and its counters. Both levels are served by the same
+/// [`Level::lookup`]; only the leader's work differs.
+struct Level<T> {
+    cache: ShardedCache<Entry<T>>,
+    inflight: Inflight<Entry<T>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    coalesced: AtomicU64,
+    evictions: AtomicU64,
+    saved_ns: AtomicU64,
+}
+
+/// The outcome of a [`Level::lookup`].
+enum Lookup<'a, T> {
+    /// A cache hit or a coalesced wait: the work is already done.
+    Served(Arc<T>),
+    /// This thread leads: do the work, then [`Level::settle`].
+    Lead(LeaderGuard<'a, Entry<T>>),
+}
+
+impl<T> Level<T> {
+    fn new(capacity: usize, shards: usize) -> Level<T> {
+        Level {
+            cache: ShardedCache::new(capacity, shards),
+            inflight: Inflight::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            saved_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Serves `key` from the cache (allocation-free on a hit), from
+    /// another thread's in-flight run, or makes this thread the leader.
+    /// A coalesced waiter receives the leader's error, if any.
+    fn lookup(&self, key: &[u8]) -> Result<Lookup<'_, T>, CoreError> {
+        let claim = match self.cache.get(key) {
+            Some(entry) => Claim::Cached(entry),
+            None => self.inflight.claim(key, || self.cache.get(key)),
+        };
+        let (value, cost) = match claim {
+            Claim::Cached(entry) => {
+                self.hits.fetch_add(1, Relaxed);
+                entry
+            }
+            Claim::Coalesced(cell) => {
+                self.coalesced.fetch_add(1, Relaxed);
+                cell.wait()?
+            }
+            Claim::Leader(guard) => return Ok(Lookup::Lead(guard)),
+        };
+        add_duration(&self.saved_ns, cost);
+        Ok(Lookup::Served(value))
+    }
+
+    /// Publishes the leader's result: on success the value enters the
+    /// cache first, then the cell retires — a requester that misses the
+    /// cell must find the cache entry. A failure reaches every waiter and
+    /// is not cached, so the next request retries.
+    fn settle(
+        &self,
+        guard: LeaderGuard<'_, Entry<T>>,
+        result: Result<Arc<T>, CoreError>,
+        cost: Duration,
+    ) -> Result<Arc<T>, CoreError> {
+        match result {
+            Ok(value) => {
+                let evicted = self.cache.insert(Arc::clone(&guard.key), (Arc::clone(&value), cost));
+                self.evictions.fetch_add(evicted, Relaxed);
+                guard.finish(Ok((Arc::clone(&value), cost)));
+                Ok(value)
+            }
+            Err(e) => {
+                guard.finish(Err(e.clone()));
+                Err(e)
+            }
+        }
+    }
+}
+
+fn add_duration(counter: &AtomicU64, d: Duration) {
+    counter.fetch_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), Relaxed);
+}
+
+fn load_duration(counter: &AtomicU64) -> Duration {
+    Duration::from_nanos(counter.load(Relaxed))
 }
 
 // ---------------------------------------------------------------------
@@ -617,52 +635,17 @@ impl CacheStats {
     }
 }
 
-/// The live counters, all atomic: bumping them never takes a lock, and
-/// [`Session::cache_stats`] snapshots them without contending with
-/// in-flight compiles.
+/// The session-wide counters that belong to neither cache level, all
+/// atomic: bumping them never takes a lock, and [`Session::cache_stats`]
+/// snapshots them without contending with in-flight compiles.
 #[derive(Default)]
 struct SharedStats {
-    frontend_hits: AtomicU64,
-    frontend_misses: AtomicU64,
-    frontend_coalesced: AtomicU64,
-    artifact_hits: AtomicU64,
-    artifact_misses: AtomicU64,
-    artifact_coalesced: AtomicU64,
-    evictions: AtomicU64,
     frontend_spent_ns: AtomicU64,
-    frontend_saved_ns: AtomicU64,
-    artifact_saved_ns: AtomicU64,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     disk_writes: AtomicU64,
     disk_quarantined: AtomicU64,
     disk_evictions: AtomicU64,
-}
-
-impl SharedStats {
-    fn snapshot(&self) -> CacheStats {
-        CacheStats {
-            frontend_hits: self.frontend_hits.load(Relaxed),
-            frontend_misses: self.frontend_misses.load(Relaxed),
-            frontend_coalesced: self.frontend_coalesced.load(Relaxed),
-            artifact_hits: self.artifact_hits.load(Relaxed),
-            artifact_misses: self.artifact_misses.load(Relaxed),
-            artifact_coalesced: self.artifact_coalesced.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
-            frontend_spent: Duration::from_nanos(self.frontend_spent_ns.load(Relaxed)),
-            frontend_saved: Duration::from_nanos(self.frontend_saved_ns.load(Relaxed)),
-            artifact_saved: Duration::from_nanos(self.artifact_saved_ns.load(Relaxed)),
-            disk_hits: self.disk_hits.load(Relaxed),
-            disk_misses: self.disk_misses.load(Relaxed),
-            disk_writes: self.disk_writes.load(Relaxed),
-            disk_quarantined: self.disk_quarantined.load(Relaxed),
-            disk_evictions: self.disk_evictions.load(Relaxed),
-        }
-    }
-
-    fn add_duration(counter: &AtomicU64, d: Duration) {
-        counter.fetch_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -739,8 +722,8 @@ impl CompileRequest {
     }
 
     /// The effective dimension bindings: `options.dims` overlaid with the
-    /// request's own bindings. Only built on the cold path — the warm
-    /// path compares dims in place.
+    /// request's own bindings. Only built on the cold path — the key
+    /// writes dims in sorted order without building this map.
     fn effective_dims(&self) -> HashMap<String, i64> {
         let mut dims = self.options.dims.clone();
         dims.extend(self.dims.iter().map(|(k, v)| (k.clone(), *v)));
@@ -757,12 +740,7 @@ impl CompileRequest {
 struct Frontend {
     kernel: TKernel,
     module: Module,
-    cost: Duration,
 }
-
-/// A cached artifact with the wall-clock its pipeline run cost (the
-/// "time saved" accounting for hits and coalesced waits).
-type CachedArtifact = (Arc<Compiled>, Duration);
 
 /// Default artifact-cache capacity (compiled artifacts are a few KB).
 const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
@@ -902,10 +880,8 @@ impl SessionBuilder {
             source_hash,
             program,
             backends: self.backends,
-            frontends: ShardedCache::new(self.frontend_capacity, self.shards),
-            artifacts: ShardedCache::new(self.artifact_capacity, self.shards),
-            frontend_inflight: Inflight::new(),
-            artifact_inflight: Inflight::new(),
+            frontends: Level::new(self.frontend_capacity, self.shards),
+            artifacts: Level::new(self.artifact_capacity, self.shards),
             stats: SharedStats::default(),
             disk,
         })
@@ -924,10 +900,8 @@ pub struct Session {
     source_hash: u64,
     program: Program,
     backends: BackendRegistry,
-    frontends: ShardedCache<FrontendKey, Arc<Frontend>>,
-    artifacts: ShardedCache<ArtifactKey, CachedArtifact>,
-    frontend_inflight: Inflight<FrontendKey, Arc<Frontend>>,
-    artifact_inflight: Inflight<ArtifactKey, CachedArtifact>,
+    frontends: Level<Frontend>,
+    artifacts: Level<Compiled>,
     stats: SharedStats,
     disk: Option<DiskCache>,
 }
@@ -960,23 +934,6 @@ impl Session {
         SessionBuilder::new(source)
     }
 
-    /// [`Session::new`] with explicit cache bounds (entries, not bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Frontend`] when `source` does not lex or
-    /// parse.
-    pub fn with_capacity(
-        source: &str,
-        frontend_capacity: usize,
-        artifact_capacity: usize,
-    ) -> Result<Session, CoreError> {
-        Session::builder(source)
-            .frontend_capacity(frontend_capacity)
-            .artifact_capacity(artifact_capacity)
-            .build()
-    }
-
     /// The source text this session compiles.
     pub fn source(&self) -> &str {
         &self.source
@@ -996,12 +953,29 @@ impl Session {
     /// A snapshot of the cache counters. Reads atomics only — never
     /// contends with in-flight compiles.
     pub fn cache_stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        let (frontend, artifact, stats) = (&self.frontends, &self.artifacts, &self.stats);
+        CacheStats {
+            frontend_hits: frontend.hits.load(Relaxed),
+            frontend_misses: frontend.misses.load(Relaxed),
+            frontend_coalesced: frontend.coalesced.load(Relaxed),
+            artifact_hits: artifact.hits.load(Relaxed),
+            artifact_misses: artifact.misses.load(Relaxed),
+            artifact_coalesced: artifact.coalesced.load(Relaxed),
+            evictions: frontend.evictions.load(Relaxed) + artifact.evictions.load(Relaxed),
+            frontend_spent: load_duration(&stats.frontend_spent_ns),
+            frontend_saved: load_duration(&frontend.saved_ns),
+            artifact_saved: load_duration(&artifact.saved_ns),
+            disk_hits: stats.disk_hits.load(Relaxed),
+            disk_misses: stats.disk_misses.load(Relaxed),
+            disk_writes: stats.disk_writes.load(Relaxed),
+            disk_quarantined: stats.disk_quarantined.load(Relaxed),
+            disk_evictions: stats.disk_evictions.load(Relaxed),
+        }
     }
 
     /// Current (frontend, artifact) cache entry counts.
     pub fn cache_len(&self) -> (usize, usize) {
-        (self.frontends.len(), self.artifacts.len())
+        (self.frontends.cache.len(), self.artifacts.cache.len())
     }
 
     /// Registered backend names, in registration order.
@@ -1024,104 +998,55 @@ impl Session {
     /// coalesced waiter; the failure is not cached, so a later identical
     /// request retries from scratch.
     pub fn compile(&self, request: &CompileRequest) -> Result<Arc<Compiled>, CoreError> {
-        let frontend_hash = self.request_frontend_hash(request);
-        let artifact_hash = artifact_hash(frontend_hash, &request.options);
-
-        // Warm path: pure probe, no allocation.
-        let probe = |key: &ArtifactKey| artifact_key_matches(key, self.source_hash, request);
-        if let Some((artifact, cost)) = self.artifacts.get(artifact_hash, probe) {
-            self.stats.artifact_hits.fetch_add(1, Relaxed);
-            SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-            return Ok(artifact);
-        }
-
-        // Cold path: build the owned key, then lead or coalesce.
-        let key = self.build_artifact_key(request);
-        let claim = self
-            .artifact_inflight
-            .claim(artifact_hash, &key, || self.artifacts.get(artifact_hash, probe));
-        match claim {
-            Claim::Cached((artifact, cost)) => {
-                self.stats.artifact_hits.fetch_add(1, Relaxed);
-                SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-                Ok(artifact)
-            }
-            Claim::Coalesced(cell) => {
-                self.stats.artifact_coalesced.fetch_add(1, Relaxed);
-                let (artifact, cost) = cell.wait()?;
-                SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-                Ok(artifact)
-            }
-            Claim::Leader(guard) => {
-                // Disk layer between the in-memory LRU and the pipeline.
-                // Only the leader probes the file, so concurrent identical
-                // requests coalesce onto one disk read exactly as they
-                // coalesce onto one pipeline run.
-                let key_bytes = self.disk.as_ref().map(|_| encode_artifact_key(&key));
-                if let (Some(disk), Some(key_bytes)) = (&self.disk, &key_bytes) {
-                    let started = Instant::now();
-                    match disk.load(artifact_hash, key_bytes) {
-                        DiskLookup::Hit(stored) => {
-                            self.stats.disk_hits.fetch_add(1, Relaxed);
-                            return match self.revive(request, frontend_hash, *stored) {
-                                Ok(artifact) => {
-                                    let cost = started.elapsed();
-                                    let evicted = self.artifacts.insert(
-                                        artifact_hash,
-                                        key,
-                                        (Arc::clone(&artifact), cost),
-                                    );
-                                    self.stats.evictions.fetch_add(evicted, Relaxed);
-                                    guard.finish(Ok((Arc::clone(&artifact), cost)));
-                                    Ok(artifact)
-                                }
-                                Err(e) => {
-                                    guard.finish(Err(e.clone()));
-                                    Err(e)
-                                }
-                            };
-                        }
-                        DiskLookup::Quarantined(_) => {
-                            self.stats.disk_quarantined.fetch_add(1, Relaxed);
-                            self.stats.disk_misses.fetch_add(1, Relaxed);
-                        }
-                        DiskLookup::Miss => {
-                            self.stats.disk_misses.fetch_add(1, Relaxed);
-                        }
-                    }
+        // Warm path: the key is written into this thread's reused buffer
+        // and probed in place. Only a miss copies it (into the in-flight
+        // table), and the buffer is released before the leader's work.
+        let (lookup, frontend_len) = KEY.with_borrow_mut(|key| {
+            let frontend_len = write_key(self.source_hash, request, key);
+            (self.artifacts.lookup(key.bytes()), frontend_len)
+        });
+        let guard = match lookup? {
+            Lookup::Served(artifact) => return Ok(artifact),
+            Lookup::Lead(guard) => guard,
+        };
+        let key = Arc::clone(&guard.key);
+        let frontend_key = &key[..frontend_len];
+        let hash = fnv1a(&key);
+        // Disk layer between the in-memory LRU and the pipeline, keyed by
+        // the same bytes. Only the leader probes the file, so concurrent
+        // identical requests coalesce onto one disk read exactly as they
+        // coalesce onto one pipeline run.
+        if let Some(disk) = &self.disk {
+            let started = Instant::now();
+            match disk.load(hash, &key) {
+                DiskLookup::Hit(stored) => {
+                    self.stats.disk_hits.fetch_add(1, Relaxed);
+                    let revived = self.revive(request, frontend_key, *stored);
+                    return self.artifacts.settle(guard, revived, started.elapsed());
                 }
-                self.stats.artifact_misses.fetch_add(1, Relaxed);
-                let started = Instant::now();
-                match self.compile_cold(request, frontend_hash) {
-                    Ok(artifact) => {
-                        let cost = started.elapsed();
-                        // Cache first, then retire the cell: a requester
-                        // that misses the cell must find the cache entry.
-                        let evicted = self.artifacts.insert(
-                            artifact_hash,
-                            key,
-                            (Arc::clone(&artifact), cost),
-                        );
-                        self.stats.evictions.fetch_add(evicted, Relaxed);
-                        guard.finish(Ok((Arc::clone(&artifact), cost)));
-                        // Persist after publishing: a write failure costs
-                        // nothing but the persistence.
-                        if let (Some(disk), Some(key_bytes)) = (&self.disk, key_bytes) {
-                            let stored = compiled_to_artifact(&artifact, key_bytes);
-                            if let Some(evicted) = disk.store(artifact_hash, &stored) {
-                                self.stats.disk_writes.fetch_add(1, Relaxed);
-                                self.stats.disk_evictions.fetch_add(evicted, Relaxed);
-                            }
-                        }
-                        Ok(artifact)
-                    }
-                    Err(e) => {
-                        guard.finish(Err(e.clone()));
-                        Err(e)
-                    }
+                DiskLookup::Quarantined(_) => {
+                    self.stats.disk_quarantined.fetch_add(1, Relaxed);
+                    self.stats.disk_misses.fetch_add(1, Relaxed);
+                }
+                DiskLookup::Miss => {
+                    self.stats.disk_misses.fetch_add(1, Relaxed);
                 }
             }
         }
+        self.artifacts.misses.fetch_add(1, Relaxed);
+        let started = Instant::now();
+        let compiled = self.compile_cold(request, frontend_key);
+        let artifact = self.artifacts.settle(guard, compiled, started.elapsed())?;
+        // Persist after publishing: a write failure costs nothing but the
+        // persistence.
+        if let Some(disk) = &self.disk {
+            let stored = compiled_to_artifact(&artifact, key.to_vec());
+            if let Some(evicted) = disk.store(hash, &stored) {
+                self.stats.disk_writes.fetch_add(1, Relaxed);
+                self.stats.disk_evictions.fetch_add(evicted, Relaxed);
+            }
+        }
+        Ok(artifact)
     }
 
     /// Emits a compiled artifact through a registered backend — the one
@@ -1160,9 +1085,9 @@ impl Session {
     fn compile_cold(
         &self,
         request: &CompileRequest,
-        frontend_hash: u64,
+        frontend_key: &[u8],
     ) -> Result<Arc<Compiled>, CoreError> {
-        let frontend = self.frontend_for(request, frontend_hash)?;
+        let frontend = self.frontend_for(request, frontend_key)?;
         let mut module = frontend.module.clone();
         let stats = request.options.pipeline().run(&mut module)?;
         // Lints run over the post-pipeline module: spans survive lowering
@@ -1216,10 +1141,10 @@ impl Session {
     fn revive(
         &self,
         request: &CompileRequest,
-        frontend_hash: u64,
+        frontend_key: &[u8],
         stored: Artifact,
     ) -> Result<Arc<Compiled>, CoreError> {
-        let frontend = self.frontend_for(request, frontend_hash)?;
+        let frontend = self.frontend_for(request, frontend_key)?;
         Ok(Arc::new(Compiled {
             module: stored.module,
             entry: stored.entry,
@@ -1236,113 +1161,24 @@ impl Session {
         self.disk.as_ref()
     }
 
-    /// The shared frontend for a request: cache hit, coalesced wait, or a
-    /// leading frontend run.
+    /// The shared frontend for a request, keyed by the frontend prefix of
+    /// its cache key: cache hit, coalesced wait, or a leading frontend run.
     fn frontend_for(
         &self,
         request: &CompileRequest,
-        frontend_hash: u64,
+        key: &[u8],
     ) -> Result<Arc<Frontend>, CoreError> {
-        let probe = |key: &FrontendKey| frontend_key_matches(key, self.source_hash, request);
-        if let Some(frontend) = self.frontends.get(frontend_hash, probe) {
-            self.stats.frontend_hits.fetch_add(1, Relaxed);
-            SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-            return Ok(frontend);
-        }
-        let key = self.build_frontend_key(request);
-        let claim = self
-            .frontend_inflight
-            .claim(frontend_hash, &key, || self.frontends.get(frontend_hash, probe));
-        match claim {
-            Claim::Cached(frontend) => {
-                self.stats.frontend_hits.fetch_add(1, Relaxed);
-                SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-                Ok(frontend)
-            }
-            Claim::Coalesced(cell) => {
-                self.stats.frontend_coalesced.fetch_add(1, Relaxed);
-                let frontend = cell.wait()?;
-                SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-                Ok(frontend)
-            }
-            Claim::Leader(guard) => {
-                self.stats.frontend_misses.fetch_add(1, Relaxed);
-                let dims = request.effective_dims();
-                match self.run_frontend(&request.kernel, &request.captures, &dims) {
-                    Ok(frontend) => {
-                        let frontend = Arc::new(frontend);
-                        SharedStats::add_duration(&self.stats.frontend_spent_ns, frontend.cost);
-                        let evicted =
-                            self.frontends.insert(frontend_hash, key, Arc::clone(&frontend));
-                        self.stats.evictions.fetch_add(evicted, Relaxed);
-                        guard.finish(Ok(Arc::clone(&frontend)));
-                        Ok(frontend)
-                    }
-                    Err(e) => {
-                        guard.finish(Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Hashes the frontend-relevant parts of a request in place (no
-    /// owned key, no allocation).
-    fn request_frontend_hash(&self, request: &CompileRequest) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.source_hash);
-        h.write_usize(request.kernel.len());
-        h.write(request.kernel.as_bytes());
-        h.write_usize(request.captures.len());
-        for c in &request.captures {
-            hash_capture(c, &mut h);
-        }
-        h.write_usize(effective_dims_len(&request.options.dims, &request.dims));
-        for_each_effective_dim(&request.options.dims, &request.dims, |k, v| {
-            h.write_usize(k.len());
-            h.write(k.as_bytes());
-            h.write_i64(v);
-        });
-        h.finish()
-    }
-
-    /// Builds the owned frontend key (cold path only).
-    fn build_frontend_key(&self, request: &CompileRequest) -> FrontendKey {
-        let mut dims = Vec::with_capacity(effective_dims_len(&request.options.dims, &request.dims));
-        for_each_effective_dim(&request.options.dims, &request.dims, |k, v| {
-            dims.push((k.to_string(), v));
-        });
-        FrontendKey {
-            source_hash: self.source_hash,
-            kernel: request.kernel.clone(),
-            captures: request.captures.clone(),
-            dims,
-        }
-    }
-
-    /// Builds the owned artifact key (cold path only).
-    fn build_artifact_key(&self, request: &CompileRequest) -> ArtifactKey {
-        let CompileOptions {
-            inline,
-            peephole,
-            decompose,
-            verify,
-            dims: _,
-            rewrite_fuel,
-            lints,
-            target,
-        } = &request.options;
-        ArtifactKey {
-            frontend: self.build_frontend_key(request),
-            inline: *inline,
-            peephole: *peephole,
-            decompose: decompose_tag(*decompose),
-            verify: *verify,
-            rewrite_fuel: *rewrite_fuel,
-            lints: *lints,
-            target: target.clone(),
-        }
+        let guard = match self.frontends.lookup(key)? {
+            Lookup::Served(frontend) => return Ok(frontend),
+            Lookup::Lead(guard) => guard,
+        };
+        self.frontends.misses.fetch_add(1, Relaxed);
+        let started = Instant::now();
+        let dims = request.effective_dims();
+        let frontend = self.run_frontend(&request.kernel, &request.captures, &dims);
+        let cost = started.elapsed();
+        add_duration(&self.stats.frontend_spent_ns, cost);
+        self.frontends.settle(guard, frontend.map(Arc::new), cost)
     }
 
     /// §4 + §5.1: instantiation, typechecking, canonicalization, and
@@ -1354,7 +1190,6 @@ impl Session {
         captures: &[CaptureValue],
         dims: &HashMap<String, i64>,
     ) -> Result<Frontend, CoreError> {
-        let started = Instant::now();
         let instance = instantiate(&self.program, kernel_name, captures, dims)?;
         let mut kernel = typecheck_kernel(&self.program, kernel_name, &instance)?;
         ast_canonicalize(&mut kernel);
@@ -1371,46 +1206,8 @@ impl Session {
         }
         lower_kernel(&kernel, &mut module)?;
 
-        Ok(Frontend { kernel, module, cost: started.elapsed() })
+        Ok(Frontend { kernel, module })
     }
-}
-
-/// The hash of an artifact key: the frontend content hash extended with
-/// every pipeline option that changes the produced IR.
-fn artifact_hash(frontend_hash: u64, options: &CompileOptions) -> u64 {
-    let CompileOptions {
-        inline,
-        peephole,
-        decompose,
-        verify,
-        dims: _,
-        rewrite_fuel,
-        lints,
-        target,
-    } = options;
-    let mut h = Fnv::new();
-    h.write_u64(frontend_hash);
-    h.write_u8(u8::from(*inline));
-    h.write_u8(u8::from(*peephole));
-    h.write_u8(decompose_tag(*decompose));
-    h.write_u8(u8::from(*verify));
-    h.write_u8(u8::from(*lints));
-    match rewrite_fuel {
-        None => h.write_u8(0),
-        Some(fuel) => {
-            h.write_u8(1);
-            h.write_u64(*fuel);
-        }
-    }
-    match target {
-        None => h.write_u8(0),
-        Some(name) => {
-            h.write_u8(1);
-            h.write_usize(name.len());
-            h.write(name.as_bytes());
-        }
-    }
-    h.finish()
 }
 
 /// Converts a compiled result into its serializable artifact form. The
@@ -1428,66 +1225,6 @@ pub fn compiled_to_artifact(compiled: &Compiled, key: Vec<u8>) -> Artifact {
         stats: compiled.stats.clone(),
         lints: compiled.lints.clone(),
         key,
-    }
-}
-
-/// Canonical byte encoding of an [`ArtifactKey`]: two structurally equal
-/// keys encode identically, and any difference (kernel, captures, sorted
-/// dims, or any pipeline option) changes the bytes. Stored inside each
-/// disk entry so a lookup verifies the full key rather than trusting the
-/// 64-bit filename hash.
-fn encode_artifact_key(key: &ArtifactKey) -> Vec<u8> {
-    let mut e = asdf_artifact::Encoder::new();
-    e.u64(key.frontend.source_hash);
-    e.str(&key.frontend.kernel);
-    e.usize(key.frontend.captures.len());
-    for capture in &key.frontend.captures {
-        encode_capture(&mut e, capture);
-    }
-    e.usize(key.frontend.dims.len());
-    for (name, value) in &key.frontend.dims {
-        e.str(name);
-        e.i64(*value);
-    }
-    e.bool(key.inline);
-    e.bool(key.peephole);
-    e.u8(key.decompose);
-    e.bool(key.verify);
-    e.bool(key.lints);
-    match key.rewrite_fuel {
-        None => e.u8(0),
-        Some(fuel) => {
-            e.u8(1);
-            e.u64(fuel);
-        }
-    }
-    match &key.target {
-        None => e.u8(0),
-        Some(name) => {
-            e.u8(1);
-            e.str(name);
-        }
-    }
-    e.into_bytes()
-}
-
-fn encode_capture(e: &mut asdf_artifact::Encoder, capture: &CaptureValue) {
-    match capture {
-        CaptureValue::Bits(bits) => {
-            e.u8(0);
-            e.usize(bits.len());
-            for bit in bits {
-                e.bool(*bit);
-            }
-        }
-        CaptureValue::CFunc { name, captures } => {
-            e.u8(1);
-            e.str(name);
-            e.usize(captures.len());
-            for nested in captures {
-                encode_capture(e, nested);
-            }
-        }
     }
 }
 
@@ -1535,32 +1272,38 @@ mod tests {
         assert_sync::<Session>()
     };
 
-    #[test]
-    fn lru_bounds_and_evicts_stalest() {
-        let mut lru: Lru<u32, u32> = Lru::new(2);
-        lru.insert(1, 1, 10);
-        lru.insert(2, 2, 20);
-        assert_eq!(lru.get(1, |k| *k == 1), Some(&10)); // 1 is now fresher than 2
-        assert_eq!(lru.insert(3, 3, 30), 1);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(2, |k| *k == 2), None, "stalest entry evicted");
-        assert_eq!(lru.get(1, |k| *k == 1), Some(&10));
-        assert_eq!(lru.get(3, |k| *k == 3), Some(&30));
+    fn key(bytes: &[u8]) -> Arc<[u8]> {
+        bytes.into()
     }
 
     #[test]
-    fn lru_disambiguates_hash_collisions_structurally() {
-        let mut lru: Lru<&str, u32> = Lru::new(4);
-        // Two distinct keys sharing one content hash must coexist.
-        lru.insert(7, "a", 1);
-        lru.insert(7, "b", 2);
-        assert_eq!(lru.get(7, |k| *k == "a"), Some(&1));
-        assert_eq!(lru.get(7, |k| *k == "b"), Some(&2));
-        assert_eq!(lru.get(7, |k| *k == "c"), None);
-        // Replacing an existing key does not grow the cache.
-        lru.insert(7, "a", 9);
+    fn lru_bounds_and_evicts_stalest() {
+        let mut lru: Lru<u32> = Lru::new(2);
+        lru.insert(1, key(b"1"), 10);
+        lru.insert(2, key(b"2"), 20);
+        assert_eq!(lru.get(1, b"1"), Some(&10)); // 1 is now fresher than 2
+        assert_eq!(lru.insert(3, key(b"3"), 30), 1);
         assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(7, |k| *k == "a"), Some(&9));
+        assert_eq!(lru.get(2, b"2"), None, "stalest entry evicted");
+        assert_eq!(lru.get(1, b"1"), Some(&10));
+        assert_eq!(lru.get(3, b"3"), Some(&30));
+    }
+
+    #[test]
+    fn lru_hash_collisions_degrade_to_misses() {
+        let mut lru: Lru<u32> = Lru::new(4);
+        lru.insert(7, key(b"a"), 1);
+        // A different key under the same hash never sees the stored value.
+        assert_eq!(lru.get(7, b"b"), None);
+        // Inserting it takes the slot; the older key now misses.
+        assert_eq!(lru.insert(7, key(b"b"), 2), 0);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.get(7, b"a"), None);
+        assert_eq!(lru.get(7, b"b"), Some(&2));
+        // Replacing an existing key does not grow the cache.
+        lru.insert(7, key(b"b"), 9);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.get(7, b"b"), Some(&9));
     }
 
     #[test]
@@ -1575,33 +1318,36 @@ mod tests {
 
     #[test]
     fn sharded_cache_capacity_is_global() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::new(6, 4);
+        let cache: ShardedCache<u64> = ShardedCache::new(6, 4);
         let mut evictions = 0;
         for i in 0..32u64 {
-            evictions += cache.insert(i, i, i);
+            evictions += cache.insert(key(&i.to_le_bytes()), i);
         }
         assert!(cache.len() <= 6, "global bound holds, got {}", cache.len());
         assert_eq!(evictions + cache.len() as u64, 32);
     }
 
-    #[test]
-    fn fnv_is_content_addressed() {
-        assert_eq!(fnv1a(b"qpu"), fnv1a(b"qpv") ^ fnv1a(b"qpv") ^ fnv1a(b"qpu"));
-        assert_ne!(fnv1a(b"qpu"), fnv1a(b"qpv"));
+    fn key_of(request: &CompileRequest) -> (Vec<u8>, usize) {
+        let mut e = Encoder::new();
+        let frontend_len = write_key(1, request, &mut e);
+        (e.into_bytes(), frontend_len)
     }
 
     #[test]
-    fn capture_hashing_distinguishes_shapes() {
+    fn key_bytes_distinguish_capture_shapes() {
         let bits = CaptureValue::bits_from_str("101");
         let cfunc = CaptureValue::CFunc { name: "f".into(), captures: vec![bits.clone()] };
-        let hash = |c: &CaptureValue| {
-            let mut h = Fnv::new();
-            hash_capture(c, &mut h);
-            h.finish()
-        };
-        assert_ne!(hash(&bits), hash(&cfunc));
-        assert_eq!(hash(&bits), hash(&CaptureValue::bits_from_str("101")));
-        assert_ne!(hash(&bits), hash(&CaptureValue::bits_from_str("1010")));
+        let with = |c: &CaptureValue| key_of(&CompileRequest::kernel("k").with_capture(c.clone()));
+        assert_ne!(with(&bits), with(&cfunc));
+        assert_eq!(with(&bits), with(&CaptureValue::bits_from_str("101")));
+        assert_ne!(with(&bits), with(&CaptureValue::bits_from_str("1010")));
+        // Moving a value between nesting levels changes the bytes too.
+        let flat = CompileRequest::kernel("k").with_captures(&[cfunc.clone(), bits.clone()]);
+        let nested = CompileRequest::kernel("k").with_capture(CaptureValue::CFunc {
+            name: "f".into(),
+            captures: vec![bits.clone(), bits],
+        });
+        assert_ne!(key_of(&flat), key_of(&nested));
     }
 
     #[test]
@@ -1614,27 +1360,37 @@ mod tests {
         let mut seen = Vec::new();
         for_each_effective_dim(&options, &request, |k, v| seen.push((k.to_string(), v)));
         assert_eq!(seen, vec![("A".to_string(), 7), ("N".to_string(), 5), ("Z".to_string(), 1)]);
-        let stored = seen;
-        assert!(dims_match(&stored, &options, &request));
-        assert!(!dims_match(&stored, &options, &HashMap::new()));
+        // The same effective dims through either map encode alike.
+        let mut via_request = CompileRequest::kernel("k");
+        via_request.dims = request.clone();
+        via_request.options.dims = options;
+        let mut via_options = CompileRequest::kernel("k");
+        via_options.options.dims =
+            [("A".to_string(), 7), ("N".to_string(), 5), ("Z".to_string(), 1)]
+                .into_iter()
+                .collect();
+        assert_eq!(key_of(&via_request), key_of(&via_options));
+        let mut fewer = CompileRequest::kernel("k");
+        fewer.dims = request;
+        assert_ne!(key_of(&via_request), key_of(&fewer));
     }
 
     #[test]
     fn inflight_coalesces_then_retires_deterministically() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(1, &42, || None) {
+        let inflight: Inflight<u32> = Inflight::new();
+        let leader = match inflight.claim(b"a", || None) {
             Claim::Leader(guard) => guard,
             _ => panic!("first claim leads"),
         };
         // A second claim for the same key coalesces onto the cell.
-        let cell = match inflight.claim(1, &42, || None) {
+        let cell = match inflight.claim(b"a", || None) {
             Claim::Coalesced(cell) => cell,
             _ => panic!("second claim coalesces"),
         };
-        // A different key under the same hash is its own leader.
-        let other = match inflight.claim(1, &43, || None) {
+        // A different key is its own leader.
+        let other = match inflight.claim(b"b", || None) {
             Claim::Leader(guard) => guard,
-            _ => panic!("distinct keys never coalesce, even on hash collision"),
+            _ => panic!("distinct keys never coalesce"),
         };
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
@@ -1647,34 +1403,34 @@ mod tests {
         other.finish(Ok(8));
         assert!(inflight.is_empty(), "all cells retired");
         // The key is claimable again — nothing was poisoned.
-        assert!(matches!(inflight.claim(1, &42, || None), Claim::Leader(_)));
+        assert!(matches!(inflight.claim(b"a", || None), Claim::Leader(_)));
     }
 
     #[test]
     fn inflight_errors_reach_waiters_without_poisoning() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(9, &1, || None) {
+        let inflight: Inflight<u32> = Inflight::new();
+        let leader = match inflight.claim(b"k", || None) {
             Claim::Leader(guard) => guard,
             _ => panic!("leads"),
         };
-        let cell = match inflight.claim(9, &1, || None) {
+        let cell = match inflight.claim(b"k", || None) {
             Claim::Coalesced(cell) => cell,
             _ => panic!("coalesces"),
         };
         leader.finish(Err(CoreError::Ir("boom".into())));
         assert_eq!(cell.wait(), Err(CoreError::Ir("boom".into())));
         // Retry is clean: the next claim leads again.
-        assert!(matches!(inflight.claim(9, &1, || None), Claim::Leader(_)));
+        assert!(matches!(inflight.claim(b"k", || None), Claim::Leader(_)));
     }
 
     #[test]
     fn inflight_leader_panic_wakes_waiters() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(3, &5, || None) {
+        let inflight: Inflight<u32> = Inflight::new();
+        let leader = match inflight.claim(b"k", || None) {
             Claim::Leader(guard) => guard,
             _ => panic!("leads"),
         };
-        let cell = match inflight.claim(3, &5, || None) {
+        let cell = match inflight.claim(b"k", || None) {
             Claim::Coalesced(cell) => cell,
             _ => panic!("coalesces"),
         };
@@ -1716,8 +1472,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let source = "qpu bell() -> bit[2] {
             'p' + '0' | ('1' & std.flip) | std[2].measure
-        }";
+        }
+        qpu plus[N]() -> bit[N] { 'p'[N] | std[N].measure }";
         let request = CompileRequest::kernel("bell");
+        // The same dims binding through the request and through options.
+        let via_request = CompileRequest::kernel("plus").with_dim("N", 3);
+        let via_options =
+            CompileRequest::kernel("plus").with_options(CompileOptions::default().with_dim("N", 3));
 
         let first = Session::builder(source).disk_cache(&dir).build().expect("build");
         let cold = first.compile(&request).expect("cold compile");
@@ -1730,6 +1491,8 @@ mod tests {
         let warm = first.compile(&request).expect("warm compile");
         assert!(Arc::ptr_eq(&cold, &warm));
         assert_eq!(first.cache_stats().disk_misses, 1);
+        let plus = first.compile(&via_request).expect("dims compile");
+        assert_eq!(first.cache_stats().disk_writes, 2);
         drop(first);
 
         // A fresh session over the same directory revives the artifact
@@ -1743,6 +1506,18 @@ mod tests {
         assert_eq!(revived.circuit, cold.circuit);
         assert_eq!(revived.module.funcs(), cold.module.funcs());
         assert_eq!(second.cache_stats().disk_writes, 0, "a disk hit is not re-persisted");
+
+        // Memory and disk share one key: dims bound through options find
+        // the entry written for the same dims bound through the request.
+        let revived_plus = second.compile(&via_options).expect("dims via options");
+        let stats = second.cache_stats();
+        assert_eq!(stats.disk_hits, 2, "options.dims hits the request.dims entry");
+        assert_eq!(stats.artifact_misses, 0);
+        assert_eq!(revived_plus.circuit, plus.circuit);
+        let stats_before = second.cache_stats();
+        let again = second.compile(&via_request).expect("dims via request");
+        assert!(Arc::ptr_eq(&revived_plus, &again), "the memory tier agrees");
+        assert_eq!(second.cache_stats().artifact_hits, stats_before.artifact_hits + 1);
 
         // Different options miss on disk (the stored key differs) and
         // trigger a fresh pipeline run.
@@ -1788,9 +1563,9 @@ mod tests {
 
     #[test]
     fn inflight_recheck_runs_under_the_table_lock() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
+        let inflight: Inflight<u32> = Inflight::new();
         // No cell and a recheck hit: the claim reports Cached.
-        match inflight.claim(2, &2, || Some(11)) {
+        match inflight.claim(b"k", || Some(11)) {
             Claim::Cached(v) => assert_eq!(v, 11),
             _ => panic!("recheck hit short-circuits leadership"),
         }

@@ -3,7 +3,7 @@
 //! dims, options) misses; the LRU bound holds.
 
 use asdf_ast::CaptureValue;
-use asdf_core::{CompileOptions, CompileRequest, Session};
+use asdf_core::{CompileOptions, CompileRequest, DecomposeStyle, Session};
 use std::sync::Arc;
 
 const BV_SRC: &str = r"
@@ -62,6 +62,30 @@ fn every_key_component_participates_in_addressing() {
         session.compile(&bv_request("101").with_options(CompileOptions::no_opt())).unwrap();
     assert!(!Arc::ptr_eq(&base, &no_opt));
 
+    // Each pipeline option changed alone: miss, then a hit on repeat.
+    let defaults = CompileOptions::default();
+    let other_fuel = defaults.rewrite_fuel.map_or(1 << 40, |fuel| fuel + 1);
+    let variants = [
+        ("inline", CompileOptions { inline: !defaults.inline, ..defaults.clone() }),
+        ("peephole", CompileOptions { peephole: !defaults.peephole, ..defaults.clone() }),
+        (
+            "decompose",
+            CompileOptions { decompose: Some(DecomposeStyle::VChain), ..defaults.clone() },
+        ),
+        ("verify", defaults.clone().with_verify(!defaults.verify)),
+        ("rewrite_fuel", defaults.clone().with_rewrite_fuel(Some(other_fuel))),
+        ("lints", defaults.clone().with_lints(!defaults.lints)),
+        ("target", defaults.clone().with_target(Some("linear-16"))),
+    ];
+    for (field, options) in variants {
+        let misses = session.cache_stats().artifact_misses;
+        let variant = session.compile(&bv_request("101").with_options(options.clone())).unwrap();
+        assert!(!Arc::ptr_eq(&base, &variant), "{field} is part of the key");
+        assert_eq!(session.cache_stats().artifact_misses, misses + 1, "{field}: one miss");
+        let again = session.compile(&bv_request("101").with_options(options)).unwrap();
+        assert!(Arc::ptr_eq(&variant, &again), "{field}: the same options hit");
+    }
+
     // Same logical request again: still a hit after all the misses.
     let again = session.compile(&bv_request("101")).unwrap();
     assert!(Arc::ptr_eq(&base, &again));
@@ -108,7 +132,8 @@ fn different_sessions_have_different_source_hashes() {
 #[test]
 fn lru_eviction_bounds_memory() {
     // Capacity 2 artifacts; 8 distinct requests.
-    let session = Session::with_capacity(BV_SRC, 2, 2).unwrap();
+    let session =
+        Session::builder(BV_SRC).frontend_capacity(2).artifact_capacity(2).build().unwrap();
     for width in 1..=8u32 {
         let secret: String = "1".repeat(width as usize);
         session.compile(&bv_request(&secret)).unwrap();

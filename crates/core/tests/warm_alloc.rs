@@ -1,8 +1,8 @@
 //! The warm hit path allocates nothing: a counting global allocator
 //! wraps the system allocator, and a window of repeat `Session::compile`
-//! calls must perform zero heap allocations — the request is hashed and
-//! matched against stored keys in place (no owned key, no encoded
-//! capture string, no sorted-dims vector).
+//! calls must perform zero heap allocations — the request's canonical
+//! key bytes are written into a reused per-thread buffer, hashed, and
+//! compared with the stored key (no owned key is built on a hit).
 
 use asdf_ast::CaptureValue;
 use asdf_core::{CompileRequest, Session};

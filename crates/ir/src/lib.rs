@@ -38,6 +38,7 @@
 pub mod block;
 pub mod clone;
 pub mod error;
+pub mod fnv;
 pub mod func;
 pub mod gate;
 pub mod inline;
@@ -53,6 +54,7 @@ pub mod verify;
 
 pub use block::{Block, Region};
 pub use error::IrError;
+pub use fnv::{fnv1a, Fnv};
 pub use func::{Func, FuncBuilder, Visibility};
 pub use gate::GateKind;
 pub use module::Module;

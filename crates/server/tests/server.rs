@@ -133,6 +133,29 @@ fn failures_come_back_as_structured_errors() {
 }
 
 #[test]
+fn over_capacity_sim_emit_fails_and_the_stdio_server_keeps_serving() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_compile-server"))
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("start compile-server");
+    let emit = r#"{"op":"emit","backend":"sim","source":"qpu k() -> bit[30] { '0'[30] | std[30].measure }","kernel":"k"}"#;
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    writeln!(stdin, "{emit}\n{{\"op\":\"stats\"}}").expect("write requests");
+    drop(stdin);
+    let output = child.wait_with_output().expect("server exits at end of input");
+    assert!(output.status.success(), "server exited with {}", output.status);
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 responses");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "both lines answered: {stdout}");
+    let emitted = parse(lines[0]).unwrap();
+    assert_eq!(emitted.get("ok"), Some(&Value::Bool(false)), "{emitted}");
+    assert!(emitted.get("error").and_then(Value::as_str).unwrap().contains("at most"), "{emitted}");
+    let stats = parse(lines[1]).unwrap();
+    assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{stats}");
+}
+
+#[test]
 fn session_registry_is_bounded_lru() {
     let server = CompileServer::with_session_capacity(2);
     for source in [

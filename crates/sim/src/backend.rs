@@ -17,7 +17,7 @@
 
 use crate::kernel::KernelProgram;
 use crate::run::{measurement_distribution_threads, pool_for_state, sample_per_shot};
-use crate::state::StateVector;
+use crate::state::{StateVector, MAX_QUBITS};
 use asdf_codegen::backend::{Backend, BackendError, EmitInput};
 use asdf_qcircuit::CircuitOp;
 
@@ -55,6 +55,17 @@ impl Backend for SimBackend {
         let circuit = input
             .circuit
             .ok_or_else(|| BackendError::NeedsCircuit { backend: self.name().to_string() })?;
+        // Refuse before simulating: a client-sized circuit must not reach
+        // the state vector's capacity assertion.
+        if circuit.num_qubits > MAX_QUBITS {
+            return Err(BackendError::Emit {
+                backend: self.name().to_string(),
+                message: format!(
+                    "circuit has {} qubits; the state-vector simulator holds at most {MAX_QUBITS}",
+                    circuit.num_qubits
+                ),
+            });
+        }
 
         let measures = circuit
             .ops
